@@ -2206,4 +2206,51 @@ mod tests {
         );
         cluster.shutdown();
     }
+
+    /// One epoch grant (500 ms, so every install lands in it) releases more
+    /// entries than a processor turn drains, six versions per key. With no
+    /// on-demand read before the checks, the processor turns alone must
+    /// compute every key to its highest version and empty `inflight`.
+    #[test]
+    fn processor_turns_settle_a_burst_larger_than_one_drain() {
+        let config = ClusterConfig::new(1).with_epoch_duration(Duration::from_millis(500));
+        let mut builder = Cluster::builder(config);
+        builder.register_program(
+            INCR,
+            fn_program(|ctx| Ok(TxnPlan::new().write(Key::from(ctx.args), Functor::add(1)))),
+        );
+        let cluster = builder.start().unwrap();
+        let keys: Vec<Key> = (0..24)
+            .map(|i| Key::from(format!("k{i}").as_str()))
+            .collect();
+        keys.iter()
+            .for_each(|k| cluster.load(k.clone(), Value::from_i64(0)));
+        let (db, server) = (cluster.database(), cluster.server(ServerId(0)));
+        let handles: Vec<TxnHandle> = (0..6)
+            .flat_map(|_| &keys)
+            .map(|k| db.execute(INCR, k.as_bytes()).unwrap())
+            .collect();
+        assert!(server.backlog_len() > crate::server::DRAIN_LIMIT as u64);
+
+        let top = handles.iter().map(TxnHandle::timestamp).max().unwrap();
+        assert!(server.epoch().wait_visible(top, None));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.backlog_len() > 0 || server.compute_frontier() < server.epoch().visible_bound()
+        {
+            assert!(Instant::now() < deadline, "an entry stayed inflight");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for key in &keys {
+            let chain = server.partition().store().chain(key).unwrap();
+            assert!(chain.uncomputed_in(Timestamp::ZERO, top).is_empty());
+        }
+        assert_eq!(server.stats().compute_errors(), 0);
+        for handle in handles {
+            assert_eq!(handle.wait_processed().unwrap(), TxnOutcome::Committed);
+        }
+        for value in db.read_latest(&keys).unwrap() {
+            assert_eq!(value.and_then(|v| v.as_i64()), Some(6));
+        }
+        cluster.shutdown();
+    }
 }

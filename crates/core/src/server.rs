@@ -704,14 +704,10 @@ impl Server {
             .into_iter()
             .map(|(owner, group)| (owner, Arc::new(group)))
             .collect();
-        let participants: Vec<(ServerId, Vec<Key>)> = groups
-            .iter()
-            .map(|(owner, group)| (*owner, group.iter().map(|w| w.key.clone()).collect()))
-            .collect();
 
         // Whatever happens during the write-only phase, the ticket must be
         // finished: a leaked in-flight transaction stalls its epoch forever.
-        let phase = self.run_write_phase(ticket.ts, &groups, &participants);
+        let phase = self.run_write_phase(ticket.ts, &groups);
         self.finish_ticket(ticket);
 
         let ok = matches!(phase, Ok(true));
@@ -750,7 +746,6 @@ impl Server {
         &self,
         version: Timestamp,
         groups: &HashMap<ServerId, Arc<Vec<Write>>>,
-        participants: &[(ServerId, Vec<Key>)],
     ) -> Result<bool> {
         let mut outcomes = Vec::with_capacity(groups.len());
         let mut replies = Vec::new();
@@ -802,9 +797,9 @@ impl Server {
             // extends the epoch for all concurrent transactions. Rollback
             // messages go straight onto the transport.
             let mut abort_acks = Vec::new();
-            for (owner, keys) in participants {
+            for (owner, group) in groups {
                 let pairs: Arc<Vec<(Key, Timestamp)>> =
-                    Arc::new(keys.iter().map(|k| (k.clone(), version)).collect());
+                    Arc::new(group.iter().map(|w| (w.key.clone(), version)).collect());
                 if *owner == self.id {
                     for (k, v) in pairs.iter() {
                         self.abort_version_logged(k, *v);
@@ -1987,27 +1982,18 @@ fn handle_msg(server: &Arc<Server>, msg: ServerMsg) -> std::ops::ControlFlow<()>
         // executor's blocking lane, which spills over to a fresh thread when
         // every pooled worker is busy — so the dispatcher never deadlocks
         // and, as before the pool, functor recursion (strictly decreasing
-        // versions) bounds the blocked-thread depth. The time a request
-        // waits for a worker is part of the asynchronous computing phase,
-        // so it is recorded into the `functor_computing` stage: pool
-        // saturation shows up in the cluster percentiles.
+        // versions) bounds the blocked-thread depth. The lane never queues,
+        // so pool saturation shows as `exec.spillover_spawns`, not as a
+        // stage sample.
         ServerMsg::RemoteGet { key, bound, reply } => {
             let s = Arc::clone(server);
-            let enqueued = Instant::now();
             server.exec.submit_blocking(move || {
-                s.stats
-                    .tracer
-                    .record_stage(Stage::FunctorComputing, duration_micros(enqueued.elapsed()));
                 reply.send(s.partition.get(&key, bound, s.as_env()));
             });
         }
         ServerMsg::RemoteGetBatch { keys, bound, reply } => {
             let s = Arc::clone(server);
-            let enqueued = Instant::now();
             server.exec.submit_blocking(move || {
-                s.stats
-                    .tracer
-                    .record_stage(Stage::FunctorComputing, duration_micros(enqueued.elapsed()));
                 let reads = keys
                     .iter()
                     .map(|key| s.partition.get(key, bound, s.as_env()))
@@ -2043,11 +2029,7 @@ fn handle_msg(server: &Arc<Server>, msg: ServerMsg) -> std::ops::ControlFlow<()>
             reply,
         } => {
             let s = Arc::clone(server);
-            let enqueued = Instant::now();
             server.exec.submit_blocking(move || {
-                s.stats
-                    .tracer
-                    .record_stage(Stage::FunctorComputing, duration_micros(enqueued.elapsed()));
                 reply.send(s.resolve_local(&key, version));
             });
         }
@@ -2066,24 +2048,22 @@ fn handle_msg(server: &Arc<Server>, msg: ServerMsg) -> std::ops::ControlFlow<()>
     ControlFlow::Continue(())
 }
 
-/// How many queued entries one processor turn drains at most, and how many
-/// scoped workers it fans the distinct keys out to. Small on purpose: the
-/// steady-state parallelism comes from the configured processor threads; the
-/// crew only spreads the burst an epoch grant releases all at once.
-const DRAIN_LIMIT: usize = 64;
-const CREW_SIZE: usize = 4;
+/// How many queued entries one processor turn drains at most. An epoch grant
+/// releases a burst of entries at once; draining a batch lets the turn
+/// deduplicate it by key before computing anything.
+pub(crate) const DRAIN_LIMIT: usize = 64;
 
 /// Processor thread body: the BE's asynchronous functor computing pool
-/// (§IV-D), organized as a small work-crew.
+/// (§IV-D).
 ///
-/// An epoch grant releases a burst of entries at once; instead of computing
-/// them strictly one at a time, a turn drains up to [`DRAIN_LIMIT`] entries,
-/// deduplicates them by key (computing a chain to its highest released
-/// version settles every lower version in order, so one call covers the
-/// whole burst for that key), and resolves distinct keys concurrently on a
-/// scoped crew. Dependency safety needs no extra machinery: version order
-/// within a chain is enforced by the chain itself, and concurrent computes
-/// of the same key are idempotent.
+/// A turn drains up to [`DRAIN_LIMIT`] entries, deduplicates them by key
+/// (computing a chain to its highest released version settles every lower
+/// version in order, so one call covers the whole burst for that key), and
+/// computes the distinct keys one after another on this thread. Parallelism
+/// comes from the configured processor threads, which share one queue.
+/// Dependency safety needs no extra machinery: version order within a chain
+/// is enforced by the chain itself, and concurrent computes of the same key
+/// (by another processor or an on-demand read) are idempotent.
 pub(crate) fn run_processor(server: Arc<Server>, queue: Receiver<QueueEntry>) {
     // The poll slice bounds how long a kill waits for idle processors to
     // notice the shutdown flag — it is the constant floor under every
@@ -2093,53 +2073,23 @@ pub(crate) fn run_processor(server: Arc<Server>, queue: Receiver<QueueEntry>) {
         aloha_net::recv_while(&queue, Duration::from_millis(2), || !server.is_shutdown())
     {
         let mut entries = vec![first];
-        while entries.len() < DRAIN_LIMIT {
-            match queue.try_recv() {
-                Ok(entry) => entries.push(entry),
-                Err(_) => break,
-            }
-        }
+        entries.extend(std::iter::from_fn(|| queue.try_recv().ok()).take(DRAIN_LIMIT - 1));
         // One compute target per distinct key: its highest released version.
         let mut targets: HashMap<&Key, Timestamp> = HashMap::new();
         for entry in &entries {
             let upto = targets.entry(&entry.key).or_insert(entry.version);
-            if entry.version > *upto {
-                *upto = entry.version;
-            }
+            *upto = (*upto).max(entry.version);
         }
-        let targets: Vec<(&Key, Timestamp)> = targets.into_iter().collect();
-        let failed: Mutex<Vec<Key>> = Mutex::new(Vec::new());
-        if targets.len() == 1 {
-            let (key, upto) = targets[0];
-            if server
-                .partition
-                .compute(key, upto, server.as_env())
-                .is_err()
-            {
-                failed.lock().push(key.clone());
-            }
-        } else {
-            let crew = targets.len().min(CREW_SIZE);
-            std::thread::scope(|scope| {
-                for worker in 0..crew {
-                    let targets = &targets;
-                    let server = &server;
-                    let failed = &failed;
-                    scope.spawn(move || {
-                        for (key, upto) in targets.iter().skip(worker).step_by(crew) {
-                            if server
-                                .partition
-                                .compute(key, *upto, server.as_env())
-                                .is_err()
-                            {
-                                failed.lock().push((*key).clone());
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        let failed = failed.into_inner();
+        let failed: Vec<&Key> = targets
+            .into_iter()
+            .filter(|(key, upto)| {
+                server
+                    .partition
+                    .compute(key, *upto, server.as_env())
+                    .is_err()
+            })
+            .map(|(key, _)| key)
+            .collect();
         server.stats.compute_errors.add(failed.len() as u64);
         // Retire the drained entries from the frontier's inflight map.
         // Computing a key to its highest released version finalizes every
@@ -2148,7 +2098,7 @@ pub(crate) fn run_processor(server: Arc<Server>, queue: Receiver<QueueEntry>) {
         // until an on-demand read computes them.
         let mut inflight = server.inflight.lock();
         for entry in &entries {
-            if failed.contains(&entry.key) {
+            if failed.contains(&&entry.key) {
                 continue;
             }
             if let Some(keys) = inflight.get_mut(&entry.version) {
