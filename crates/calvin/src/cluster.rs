@@ -15,6 +15,7 @@ use aloha_control::{
 };
 use aloha_net::{Addr, Bus, ExecConfig, Executor, NetConfig, Transport};
 use aloha_storage::{DurableLog, DurableLogConfig, Fsync};
+use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock};
 
 use crate::durability::{self, CalvinRecoveryReport, CalvinWal};
@@ -199,17 +200,6 @@ impl CalvinConfig {
     }
 
     /// Enables the durable log (and with it
-    /// [`CalvinCluster::restart_server`]).
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `with_durable_log(spec)`, the same builder name the ALOHA engine uses"
-    )]
-    pub fn with_durability(mut self, durability: CalvinDurability) -> CalvinConfig {
-        self.durability = Some(durability);
-        self
-    }
-
-    /// Enables the durable log (and with it
     /// [`CalvinCluster::restart_server`]). Named symmetrically with the
     /// ALOHA engine's `ClusterConfig::with_durable_log`.
     pub fn with_durable_log(mut self, durability: CalvinDurability) -> CalvinConfig {
@@ -309,11 +299,13 @@ type BuiltServer = (
 
 /// Builds one server: recovers its durable log (if configured), registers
 /// its endpoint, and spawns its dispatcher, sequencer, scheduler and worker
-/// threads. Used both at cluster start and on restart.
+/// threads. Used both at cluster start and on restart. The sequencer starts
+/// sealing once `start_latch` disconnects.
 fn build_server(
     ctx: &CalvinRebuild,
     net: &Arc<dyn Transport<CalvinMsg>>,
     i: u16,
+    start_latch: &Receiver<()>,
 ) -> Result<BuiltServer> {
     let n = ctx.config.servers;
     let (wal, report) = match &ctx.config.durability {
@@ -376,10 +368,11 @@ fn build_server(
         }
         None => (Box::new(FixedPacer(ctx.batch_duration)), None),
     };
+    let latch = start_latch.clone();
     threads.push(
         std::thread::Builder::new()
             .name(format!("calvin-seq-{i}"))
-            .spawn(move || run_sequencer(s, pacer))
+            .spawn(move || run_sequencer(s, pacer, latch))
             .expect("spawn sequencer"),
     );
     let s = Arc::clone(&server);
@@ -481,14 +474,20 @@ impl CalvinClusterBuilder {
         let mut servers = Vec::with_capacity(n as usize);
         let mut server_threads = Vec::with_capacity(n as usize);
         let mut pacer_gauges = Vec::new();
+        // Sequencers seal nothing until every server has registered its
+        // endpoint (dropping `release` opens the latch): a batch sent to an
+        // address not registered yet is lost, and without fault-injection
+        // resends its round would never merge on that server.
+        let (release, latch) = crossbeam::channel::bounded::<()>(0);
         for i in 0..n {
-            let (server, threads, gauges, _) = build_server(&rebuild, &net, i)?;
+            let (server, threads, gauges, _) = build_server(&rebuild, &net, i, &latch)?;
             servers.push(server);
             server_threads.push(threads);
             if let Some(g) = gauges {
                 pacer_gauges.push(g);
             }
         }
+        drop(release);
         let gates = rebuild
             .config
             .control
@@ -683,7 +682,10 @@ impl CalvinCluster {
                 id.0
             )));
         }
-        let (server, threads, gauges, report) = build_server(&self.rebuild, &self.net, id.0)?;
+        // Every peer is registered already: a latch without a sender is open.
+        let (_, open) = crossbeam::channel::bounded::<()>(0);
+        let (server, threads, gauges, report) =
+            build_server(&self.rebuild, &self.net, id.0, &open)?;
         self.server_threads.lock()[i] = threads;
         if let Some(g) = gauges {
             self.pacer_gauges.lock()[i] = g;

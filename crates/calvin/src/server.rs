@@ -521,8 +521,14 @@ pub(crate) fn run_dispatcher(server: Arc<CalvinServer>, endpoint: Endpoint<Calvi
 /// Sequencer thread: seals a batch every round, asking the pacer for each
 /// round's duration first (a [`aloha_control::FixedPacer`] reproduces the
 /// paper's constant 20 ms batches; an adaptive pacer steers the duration
-/// from live backlog pressure).
-pub(crate) fn run_sequencer(server: Arc<CalvinServer>, mut pacer: Box<dyn Pacer>) {
+/// from live backlog pressure). Sealing starts once `start_latch`
+/// disconnects, when every peer can receive the batches.
+pub(crate) fn run_sequencer(
+    server: Arc<CalvinServer>,
+    mut pacer: Box<dyn Pacer>,
+    start_latch: Receiver<()>,
+) {
+    let _ = start_latch.recv();
     let mut round = server.start_round();
     while !server.is_shutdown() {
         std::thread::sleep(pacer.next_duration());

@@ -40,21 +40,26 @@ fn increment_program() -> impl calvin::CalvinProgram {
     )
 }
 
-/// args = two keys (8 bytes each) + amount; distributed transfer.
+/// Splits transfer args: two equal-length keys, then an `i64` amount.
+fn transfer_args(args: &[u8]) -> (Key, Key, i64) {
+    let (keys, amount) = args.split_at(args.len() - 8);
+    let (a, b) = keys.split_at(keys.len() / 2);
+    let amount = i64::from_be_bytes(amount.try_into().unwrap());
+    (Key::from(a), Key::from(b), amount)
+}
+
+/// args = two equal-length keys + amount; distributed transfer.
 fn transfer_program() -> impl calvin::CalvinProgram {
     fn_program(
         |args| {
-            let a = Key::from(&args[0..8]);
-            let b = Key::from(&args[8..16]);
+            let (a, b, _) = transfer_args(args);
             CalvinPlan {
                 read_set: vec![a.clone(), b.clone()],
                 write_set: vec![a, b],
             }
         },
         |args, reads, writes| {
-            let a = Key::from(&args[0..8]);
-            let b = Key::from(&args[8..16]);
-            let amount = i64::from_be_bytes(args[16..24].try_into().unwrap());
+            let (a, b, amount) = transfer_args(args);
             let va = reads[&a].as_ref().and_then(Value::as_i64).unwrap_or(0);
             let vb = reads[&b].as_ref().and_then(Value::as_i64).unwrap_or(0);
             writes.push((a, Value::from_i64(va - amount)));

@@ -22,6 +22,10 @@
 use crate::error::{Error, Result};
 use bytes::Bytes;
 
+/// The smallest encoding of a length-prefixed byte field
+/// ([`Writer::put_bytes`]): its `u32` length prefix alone.
+pub const LEN_PREFIX_BYTES: usize = 4;
+
 /// Incrementally builds a binary payload.
 #[derive(Debug, Default, Clone)]
 pub struct Writer {
@@ -241,6 +245,15 @@ impl<'a> Reader<'a> {
             Some(backing) => backing.slice_ref(raw),
             None => Bytes::copy_from_slice(raw),
         })
+    }
+
+    /// A preallocation capacity for `count` elements (a count read off the
+    /// input) whose encodings take at least `min_elem_bytes` each: never
+    /// more elements than the remaining bytes could hold. Decoders size
+    /// their vectors with this rather than with the raw count, so a forged
+    /// count cannot make them allocate beyond the input's size.
+    pub fn capacity_for(&self, count: u32, min_elem_bytes: usize) -> usize {
+        (count as usize).min(self.remaining() / min_elem_bytes.max(1))
     }
 
     /// Remaining undecoded bytes.

@@ -66,11 +66,6 @@ pub struct ClusterConfig {
     /// checkpoint timestamp (pass `at.micros() + 1`), exactly as a real
     /// deployment resumes clocks past the recovery point.
     pub clock_offset_micros: u64,
-    /// Optional background garbage collection: settled versions older than
-    /// `keep` behind the visibility bound are truncated every `interval`.
-    /// `None` (the default) keeps all history, as the paper's multi-version
-    /// store does during experiments.
-    pub gc: Option<GcConfig>,
     /// Optional watermark-driven chain compaction: settled records are
     /// periodically packed out of their `Arc`+lock cells and the dead
     /// committed prefix of every chain is folded into its materialized base
@@ -87,10 +82,6 @@ pub struct ClusterConfig {
     /// epoch group commit and checkpoint truncation. `None` (the default)
     /// keeps the WAL in memory (or off, per [`ClusterConfig::durable`]).
     pub durable_log: Option<DurableLogSpec>,
-    /// Mirror every install to the next server in the ring before
-    /// acknowledging it (§III-A replication, tolerating a single crash).
-    /// Off by default, as in the paper's experiments.
-    pub replicated: bool,
     /// Partial replication: keep log-shipped standbys for up to `budget`
     /// hot partitions and promote one at an epoch boundary when its primary
     /// is killed (see [`ClusterConfig::with_partial_replication`]). `None`
@@ -153,16 +144,6 @@ impl std::fmt::Debug for TransportSpec {
     }
 }
 
-/// Background garbage-collection knobs (see [`ClusterConfig::with_gc`]).
-#[derive(Debug, Clone, Copy)]
-pub struct GcConfig {
-    /// How often the sweeper runs.
-    pub interval: Duration,
-    /// How much settled history (in microseconds of timestamp space) to
-    /// retain behind the visibility bound for historical readers.
-    pub keep_micros: u64,
-}
-
 /// Watermark-driven chain-compaction knobs (see
 /// [`ClusterConfig::with_compaction`]).
 ///
@@ -170,8 +151,9 @@ pub struct GcConfig {
 /// keeping the newest `keep_versions` committed records per chain as the
 /// materialized base. Aborted records below the watermark are packed but
 /// never folded, so late outcome probes can still distinguish an aborted
-/// version from folded committed history. Historical reads below the
-/// retained window are best-effort, exactly as with [`GcConfig`].
+/// version from folded committed history. A historical read below the
+/// retained window fails with [`Error::VersionOutsideEpoch`], whose
+/// `valid_from` names the oldest bound the chain still answers exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactionConfig {
     /// How often the sweeper runs.
@@ -260,6 +242,18 @@ impl DurableLogSpec {
         self.flush_appends = flush;
         self
     }
+
+    /// Opens server `id`'s log in `dir/server-<id>`, returning whatever a
+    /// previous incarnation left behind. The in-process cluster and the
+    /// multi-process node share this layout, so either can recover the
+    /// other's directory.
+    pub(crate) fn open(&self, id: ServerId) -> Result<(DurableLog, RecoveredLog)> {
+        let cfg = DurableLogConfig::new(self.dir.join(format!("server-{}", id.0)))
+            .with_fsync(self.fsync)
+            .with_segment_bytes(self.segment_bytes)
+            .with_flush_appends(self.flush_appends);
+        DurableLog::open(cfg)
+    }
 }
 
 impl ClusterConfig {
@@ -274,11 +268,9 @@ impl ClusterConfig {
             allow_noauth: true,
             clock_skew_micros: Vec::new(),
             clock_offset_micros: 0,
-            gc: None,
             compaction: None,
             durable: false,
             durable_log: None,
-            replicated: false,
             partial_replication: None,
             rpc_timeout: Duration::from_secs(30),
             record_history: false,
@@ -326,15 +318,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables the background history sweeper.
-    pub fn with_gc(mut self, interval: Duration, keep_micros: u64) -> ClusterConfig {
-        self.gc = Some(GcConfig {
-            interval,
-            keep_micros,
-        });
-        self
-    }
-
     /// Enables the background watermark-driven compaction sweeper, keeping
     /// the newest `keep_versions` committed versions per chain.
     pub fn with_compaction(mut self, interval: Duration, keep_versions: usize) -> ClusterConfig {
@@ -348,17 +331,6 @@ impl ClusterConfig {
     /// Overrides how latest-version reads are served (see [`ReadMode`]).
     pub fn with_read_mode(mut self, mode: ReadMode) -> ClusterConfig {
         self.read_mode = mode;
-        self
-    }
-
-    /// Enables in-memory write-ahead logging of the write-only phase.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use the spec-style `with_memory_wal()` (or `with_durable_log(spec)` for the \
-                crash-durable flavor) instead of the boolean toggle"
-    )]
-    pub fn with_durability(mut self, durable: bool) -> ClusterConfig {
-        self.durable = durable;
         self
     }
 
@@ -378,13 +350,6 @@ impl ClusterConfig {
     /// partitions from checkpoint + WAL suffix.
     pub fn with_durable_log(mut self, spec: DurableLogSpec) -> ClusterConfig {
         self.durable_log = Some(spec);
-        self
-    }
-
-    /// Mirrors every install to the next server in the ring before
-    /// acknowledging it (§III-A replication, tolerating a single crash).
-    pub fn with_ring_replication(mut self) -> ClusterConfig {
-        self.replicated = true;
         self
     }
 
@@ -675,27 +640,6 @@ impl ClusterBuilder {
 
         let aux_stop = Arc::new(AtomicBool::new(false));
         let mut aux_threads = Vec::new();
-        if let Some(gc) = rebuild.config.gc {
-            let sweep_servers = Arc::clone(&servers);
-            let stop = Arc::clone(&aux_stop);
-            aux_threads.push(
-                std::thread::Builder::new()
-                    .name("gc-sweeper".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            std::thread::sleep(gc.interval);
-                            for server in sweep_servers.all() {
-                                let settled = server.epoch().visible_bound();
-                                let bound = Timestamp::floor_of_micros(
-                                    settled.micros().saturating_sub(gc.keep_micros),
-                                );
-                                server.partition().store().truncate_below(bound);
-                            }
-                        }
-                    })
-                    .expect("spawn gc sweeper"),
-            );
-        }
         if let Some(comp) = rebuild.config.compaction {
             let sweep_servers = Arc::clone(&servers);
             let stop = Arc::clone(&aux_stop);
@@ -706,28 +650,7 @@ impl ClusterBuilder {
                         while !stop.load(Ordering::SeqCst) {
                             std::thread::sleep(comp.interval);
                             for server in sweep_servers.all() {
-                                if server.is_shutdown() {
-                                    continue;
-                                }
-                                // The cluster-wide compute frontier caps
-                                // folding: every functor below it is
-                                // computed everywhere, so no read — local
-                                // or remote — still floors beneath what
-                                // the fold keeps. The visible bound would
-                                // be unsound here: a settled-but-uncomputed
-                                // functor reads at its own (lower) version.
-                                // Snapshot reads being served right now pin
-                                // the horizon further: folding at or above
-                                // an in-flight read's bound could destroy
-                                // the floor it is about to walk onto.
-                                let mut horizon = server.epoch().frontier();
-                                if let Some(floor) = server.min_inflight_read() {
-                                    horizon = horizon.min(floor);
-                                }
-                                server
-                                    .partition()
-                                    .store()
-                                    .compact(horizon, comp.keep_versions);
+                                server.compact_history(comp.keep_versions);
                             }
                         }
                     })
@@ -987,11 +910,7 @@ impl RebuildCtx {
     /// also returns whatever a previous incarnation left behind.
     fn wal_for(&self, i: u16) -> Result<(Option<WalSink>, Option<RecoveredLog>)> {
         if let Some(spec) = &self.config.durable_log {
-            let cfg = DurableLogConfig::new(spec.dir.join(format!("server-{i}")))
-                .with_fsync(spec.fsync)
-                .with_segment_bytes(spec.segment_bytes)
-                .with_flush_appends(spec.flush_appends);
-            let (log, recovered) = DurableLog::open(cfg)?;
+            let (log, recovered) = spec.open(ServerId(i))?;
             Ok((Some(WalSink::Disk(Arc::new(log))), Some(recovered)))
         } else if self.config.durable {
             Ok((Some(WalSink::Memory(Mutex::new(MemWal::default()))), None))
@@ -1031,14 +950,19 @@ impl RecoveryReport {
     }
 }
 
-/// Applies a recovered durable log onto a fresh partition: restore the
-/// newest checkpoint, then replay the WAL suffix through the storage codec
-/// (records at or below the checkpoint are skipped as idempotent no-ops).
+/// Applies what `log` recovered onto a fresh partition: restore the newest
+/// checkpoint, then replay the WAL suffix through the storage codec (records
+/// at or below the checkpoint are skipped as idempotent no-ops). The replay
+/// time lands in the log's `recovery_replay_micros` gauge.
 ///
 /// A torn tail is tolerated — the valid prefix is applied. Any other damage
 /// (checksum failure, truncated interior segment) refuses recovery with a
 /// descriptive error instead of serving from a silently incomplete store.
-fn recover_partition(partition: &Partition, recovered: &RecoveredLog) -> Result<RecoveryReport> {
+pub(crate) fn recover_partition(
+    partition: &Partition,
+    log: &DurableLog,
+    recovered: &RecoveredLog,
+) -> Result<RecoveryReport> {
     if let Some(damage @ LogDamage::Corrupt { .. }) = &recovered.damage {
         return Err(Error::Io(format!("wal recovery refused: {damage}")));
     }
@@ -1048,18 +972,21 @@ fn recover_partition(partition: &Partition, recovered: &RecoveredLog) -> Result<
         checkpoint = aloha_storage::restore_checkpoint(partition, blob)?;
     }
     let replayed = aloha_storage::replay_records(partition, &recovered.records, checkpoint)?;
+    let replay_micros = started.elapsed().as_micros() as u64;
+    log.stats()
+        .recovery_replay_micros
+        .store(replay_micros, Ordering::Relaxed);
     Ok(RecoveryReport {
         checkpoint,
         replayed,
         torn_tail: recovered.damage.is_some(),
-        replay_micros: started.elapsed().as_micros() as u64,
+        replay_micros,
     })
 }
 
-/// Builds one server — fresh partition, recovered WAL state, fresh epoch
-/// client and executor — registers it on the transport and spawns its
-/// dispatcher and processors. Shared by cluster start and single-server
-/// restart.
+/// Builds one server over a fresh partition recovered from its durable log
+/// (when one is configured) and starts it. Shared by cluster start and
+/// single-server restart.
 fn build_server(
     ctx: &RebuildCtx,
     id: ServerId,
@@ -1074,60 +1001,27 @@ fn build_server(
     let partition = ctx.partition_for(id.0);
     let (wal, recovered) = ctx.wal_for(id.0)?;
     let mut report = RecoveryReport::empty();
-    if let Some(recovered) = &recovered {
-        report = recover_partition(&partition, recovered)?;
-        if let Some(WalSink::Disk(log)) = &wal {
-            log.stats()
-                .recovery_replay_micros
-                .store(report.replay_micros, Ordering::Relaxed);
-        }
+    if let (Some(WalSink::Disk(log)), Some(recovered)) = (&wal, &recovered) {
+        report = recover_partition(&partition, log, recovered)?;
     }
-    let epoch = Arc::new(EpochClient::new(
-        id,
-        ctx.clock_for(id.0),
-        ctx.config.allow_noauth,
-    ));
-    let exec = Executor::new(format!("exec-s{}", id.0), ctx.config.exec.clone());
-    let (server, queue_rx) = Server::new(
-        id,
-        ctx.config.servers,
-        partition,
-        epoch,
-        Arc::clone(net),
-        batcher.clone(),
-        exec,
-        Arc::clone(&ctx.programs),
-        wal,
-        ctx.config.replicated,
-        ctx.config.rpc_timeout,
-        history.clone(),
-    );
-    let endpoint = net.register(Addr::Server(id));
-    let threads = spawn_server_threads(
-        &server,
-        endpoint,
-        queue_rx,
-        ctx.config.processors_per_server,
-    );
+    let (server, threads) = start_server(ctx, id, net, batcher, history, partition, wal);
     Ok((server, threads, report))
 }
 
-/// Builds the promoted incumbent of a failed-over partition: like
-/// [`build_server`], but *over the caught-up standby partition* instead of
-/// replaying the durable log into a fresh one — that is the entire point of
-/// the standby. A fresh WAL sink is still opened so the promoted server
-/// keeps logging (and shipping, should a new standby attach later); the
-/// recovered state a disk log reports is deliberately ignored, because the
-/// standby already covers everything the victim ever logged.
-fn build_promoted_server(
+/// Starts one server over `partition`: a fresh epoch client and executor,
+/// [`Server::new`], registration on the transport, then its dispatcher and
+/// processors. The tail shared by every way a slot gets a server — start,
+/// restart and failover promotion differ only in where the partition comes
+/// from.
+fn start_server(
     ctx: &RebuildCtx,
     id: ServerId,
     net: &Arc<dyn Transport<ServerMsg>>,
     batcher: &Option<Batcher<ServerMsg>>,
     history: &Option<Arc<History>>,
     partition: Arc<Partition>,
-) -> Result<(Arc<Server>, Vec<std::thread::JoinHandle<()>>)> {
-    let (wal, _recovered) = ctx.wal_for(id.0)?;
+    wal: Option<WalSink>,
+) -> (Arc<Server>, Vec<std::thread::JoinHandle<()>>) {
     let epoch = Arc::new(EpochClient::new(
         id,
         ctx.clock_for(id.0),
@@ -1144,7 +1038,6 @@ fn build_promoted_server(
         exec,
         Arc::clone(&ctx.programs),
         wal,
-        ctx.config.replicated,
         ctx.config.rpc_timeout,
         history.clone(),
     );
@@ -1155,7 +1048,7 @@ fn build_promoted_server(
         queue_rx,
         ctx.config.processors_per_server,
     );
-    Ok((server, threads))
+    (server, threads)
 }
 
 /// Spawns one server's dispatcher and processor threads.
@@ -1215,7 +1108,8 @@ pub struct Cluster {
     /// Per-server thread groups (dispatcher + processors), index-aligned
     /// with the slots, so a kill joins exactly its victim's threads.
     server_threads: Mutex<Vec<Vec<std::thread::JoinHandle<()>>>>,
-    /// Cluster-scoped background threads (GC sweeper, checkpointer).
+    /// Cluster-scoped background threads (compaction sweeper,
+    /// checkpointer, replica controller).
     aux_threads: Vec<std::thread::JoinHandle<()>>,
     total: u16,
     aux_stop: Arc<AtomicBool>,
@@ -1634,14 +1528,22 @@ impl Cluster {
             .and_then(|rs| rs.promote_take(&server))
         {
             let watermark = standby.watermark();
-            let (promoted, threads) = build_promoted_server(
+            // The promoted server runs over the caught-up standby partition
+            // instead of replaying the log into a fresh one — that is the
+            // entire point of the standby. A fresh WAL sink keeps it logging
+            // (and shipping, should a new standby attach later); what a disk
+            // log reports as recovered is ignored, because the standby
+            // already covers everything the victim ever logged.
+            let (wal, _recovered) = self.rebuild.wal_for(id.0)?;
+            let (promoted, threads) = start_server(
                 &self.rebuild,
                 id,
                 &self.net,
                 &self.batcher,
                 &self.history,
                 Arc::clone(standby.partition()),
-            )?;
+                wal,
+            );
             // Shipped records re-enter the store uncomputed; `Server::new`
             // re-buffered them for the processors, and covering them with
             // the compute frontier is sound for the same reason it is after
@@ -1684,54 +1586,6 @@ impl Cluster {
         self.servers.set(i, server);
         self.availability.note_restart(id.0);
         Ok(report)
-    }
-
-    /// Rebuilds partition `lost` from its backup's mirrored records: the
-    /// §III-A single-crash recovery path. Installs every mirrored record
-    /// into the target cluster's partition (ABORTED records re-apply the
-    /// rollback).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] if replication was not enabled.
-    pub fn rebuild_from_replica(&self, source: &Cluster, lost: ServerId) -> Result<usize> {
-        let backup = source.servers.get(lost.index()).backup_of(lost);
-        let backup_server = source.servers.get(backup.index());
-        let records = backup_server.replica_dump();
-        if !backup_server.is_replicated() {
-            return Err(Error::Config(
-                "replication was not enabled on the source".into(),
-            ));
-        }
-        let target = self.servers.get(lost.index());
-        let mut applied = 0;
-        let mut highest = Timestamp::ZERO;
-        for (key, version, functor) in records {
-            if functor == aloha_functor::Functor::Aborted {
-                target.partition().abort_version(&key, version);
-            } else {
-                target.partition().store().put(&key, version, functor);
-            }
-            highest = highest.max(version);
-            applied += 1;
-        }
-        // The puts bypassed `install_batch`, so the rebuilt records are
-        // invisible to the target's compute frontier until re-buffered —
-        // without this, frontier snapshot reads would serve the floor
-        // *below* the still-pending rebuilt functors. Then block until the
-        // redistributed frontier covers the rebuilt history on every server:
-        // the next grant releases the re-buffered entries, the processors
-        // settle them, and once each front-end's absorbed frontier passes
-        // `highest` the rebuilt records are visible to snapshot reads
-        // through any node.
-        target.reseed_uncomputed();
-        if applied > 0 {
-            let deadline = Instant::now() + Duration::from_secs(5);
-            for server in self.servers.all() {
-                server.epoch().wait_frontier(highest, Some(deadline));
-            }
-        }
-        Ok(applied)
     }
 
     /// Snapshot of every server's write-ahead log (empty logs when
@@ -1812,16 +1666,6 @@ impl Cluster {
             server.epoch().absorb_frontier(restored_at);
         }
         Ok(())
-    }
-
-    /// Garbage-collects settled history below `bound` on every partition.
-    /// Returns the number of version records dropped.
-    pub fn gc(&self, bound: Timestamp) -> usize {
-        self.servers
-            .all()
-            .iter()
-            .map(|s| s.partition().store().truncate_below(bound))
-            .sum()
     }
 
     /// Stops the epoch manager, the servers and all their threads.
@@ -2086,19 +1930,19 @@ impl Database {
     /// # Errors
     ///
     /// Fails if `ts` is not settled yet, on shutdown, or on transport errors.
+    /// [`Error::VersionOutsideEpoch`] when compaction folded the history `ts`
+    /// needs; its `valid_from` is the oldest timestamp that key answers
+    /// exactly again.
     pub fn read_at(&self, keys: &[Key], ts: Timestamp) -> Result<Vec<Option<Value>>> {
         let i = self.pick_fe();
         let _permit = self.admit(i, AccessKind::Read)?;
         let fe = self.servers.get(i);
         let values = match self.read_mode {
-            ReadMode::Snapshot => match fe.snapshot_read_at(keys, ts) {
-                Ok(reads) => reads.into_iter().map(|read| read.value).collect(),
-                // Compaction folded history `ts` needs; the computing path
-                // still serves it best-effort from each chain's retained
-                // window, matching the delay mode's contract.
-                Err(Error::VersionOutsideEpoch { .. }) => fe.read_at(keys, ts)?,
-                Err(e) => return Err(e),
-            },
+            ReadMode::Snapshot => fe
+                .snapshot_read_at(keys, ts)?
+                .into_iter()
+                .map(|read| read.value)
+                .collect(),
             ReadMode::DelayToEpoch => fe.read_at(keys, ts)?,
         };
         self.note_session(ts);
@@ -2204,6 +2048,75 @@ mod tests {
             chain.compacted_floor() >= bound,
             "sweeper should fold past the retired read's bound"
         );
+        cluster.shutdown();
+    }
+
+    /// A processor compute that fails — here a gather whose remote read
+    /// times out while the owner's functor is stuck — pins the compute
+    /// frontier only until a later grant retries it. No read runs before the
+    /// frontier check, so nothing on-demand can mask a compute that was
+    /// never retried.
+    #[test]
+    fn failed_processor_compute_is_retried_at_the_next_grant() {
+        use aloha_functor::{ComputeInput, HandlerOutput, UserFunctor};
+        static GATE_OPEN: AtomicBool = AtomicBool::new(false);
+        let key_on = |p: u16| {
+            (0..)
+                .map(|i: u32| Key::from_parts(&[b"rt", &i.to_be_bytes()]))
+                .find(|k| k.partition(2).0 == p)
+                .unwrap()
+        };
+        let (a, b) = (key_on(0), key_on(1));
+        let mut builder = Cluster::builder(
+            ClusterConfig::new(2)
+                .with_epoch_duration(Duration::from_millis(3))
+                .with_rpc_timeout(Duration::from_millis(2)),
+        );
+        // Handler 1 (`b`'s functor) waits for the gate; handler 2 (`a`'s)
+        // copies `b`. Program `h` writes handler `h`'s functor.
+        builder.register_handler(HandlerId(1), |_: &ComputeInput<'_>| {
+            while !GATE_OPEN.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            HandlerOutput::commit(Value::from_i64(7))
+        });
+        let src = b.clone();
+        builder.register_handler(HandlerId(2), move |input: &ComputeInput<'_>| {
+            HandlerOutput::commit(Value::from_i64(input.reads.i64(&src).unwrap_or(0)))
+        });
+        for (h, key, reads) in [(1, b.clone(), vec![]), (2, a.clone(), vec![b])] {
+            builder.register_program(
+                ProgramId(h),
+                fn_program(move |_| {
+                    let f = UserFunctor::new(HandlerId(h), reads.clone(), Vec::new());
+                    Ok(TxnPlan::new().write(key.clone(), Functor::User(f)))
+                }),
+            );
+        }
+        let cluster = builder.start().unwrap();
+        let db = cluster.database();
+        db.execute(ProgramId(1), b"").unwrap();
+        let copy = db.execute(ProgramId(2), b"").unwrap();
+        let server = cluster.server(ServerId(0));
+        let wait_for = |done: &dyn Fn() -> bool, what: &str| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !done() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        wait_for(
+            &|| server.stats().compute_errors() > 0,
+            "the gather never failed",
+        );
+        assert!(server.compute_frontier() <= copy.timestamp());
+        GATE_OPEN.store(true, Ordering::SeqCst);
+        wait_for(
+            &|| server.compute_frontier() > copy.timestamp(),
+            "the failed compute was never retried",
+        );
+        assert_eq!(copy.wait_processed().unwrap(), TxnOutcome::Committed);
+        assert_eq!(db.read_one(&a).unwrap().and_then(|v| v.as_i64()), Some(7));
         cluster.shutdown();
     }
 

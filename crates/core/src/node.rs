@@ -33,10 +33,10 @@ use aloha_common::{Error, Key, ReadMode, Result, ServerId, Timestamp, Value};
 use aloha_epoch::{EpochClient, EpochConfig, EpochManager};
 use aloha_functor::{Functor, Handler, HandlerId, HandlerRegistry};
 use aloha_net::{Addr, Executor, Transport};
-use aloha_storage::{DurableLog, DurableLogConfig, Partition, RecoveredLog};
+use aloha_storage::Partition;
 
 use crate::checker::History;
-use crate::cluster::{CompactionConfig, DurableLogSpec, NetEpochTransport};
+use crate::cluster::{recover_partition, CompactionConfig, DurableLogSpec, NetEpochTransport};
 use crate::msg::ServerMsg;
 use crate::program::{ProgramId, ProgramRegistry, TxnProgram};
 use crate::server::{Server, TxnHandle, WalSink};
@@ -219,10 +219,14 @@ impl NodeBuilder {
             config.servers,
             Arc::new(self.handlers),
         ));
-        let (wal, recovered) = open_wal(&config)?;
-        if let Some(recovered) = &recovered {
-            recover(&partition, recovered)?;
-        }
+        let wal = match &config.durable_log {
+            Some(spec) => {
+                let (log, recovered) = spec.open(config.id)?;
+                recover_partition(&partition, &log, &recovered)?;
+                Some(WalSink::Disk(Arc::new(log)))
+            }
+            None => None,
+        };
         let epoch = Arc::new(EpochClient::new(
             config.id,
             clock.clone(),
@@ -243,7 +247,6 @@ impl NodeBuilder {
             exec,
             Arc::new(self.programs),
             wal,
-            false,
             config.rpc_timeout,
             history.clone(),
         );
@@ -262,25 +265,7 @@ impl NodeBuilder {
                     .spawn(move || {
                         while !stop.load(Ordering::SeqCst) {
                             std::thread::sleep(comp.interval);
-                            if sweep_server.is_shutdown() {
-                                continue;
-                            }
-                            // The cluster-wide compute frontier (distributed
-                            // through the epoch grants) caps folding: every
-                            // functor below it is computed everywhere, so no
-                            // read — local or remote — still floors beneath
-                            // what the fold keeps. The visible bound would be
-                            // unsound: a settled-but-uncomputed functor reads
-                            // at its own (lower) version. Snapshot reads
-                            // being served right now pin the horizon further.
-                            let mut horizon = sweep_server.epoch().frontier();
-                            if let Some(floor) = sweep_server.min_inflight_read() {
-                                horizon = horizon.min(floor);
-                            }
-                            sweep_server
-                                .partition()
-                                .store()
-                                .compact(horizon, comp.keep_versions);
+                            sweep_server.compact_history(comp.keep_versions);
                         }
                     })
                     .expect("spawn compaction sweeper"),
@@ -487,34 +472,6 @@ impl Node {
         }
         self.net.shutdown();
     }
-}
-
-/// Opens this node's WAL per the configuration, returning any state a
-/// previous incarnation left behind.
-fn open_wal(config: &NodeConfig) -> Result<(Option<WalSink>, Option<RecoveredLog>)> {
-    let Some(spec) = &config.durable_log else {
-        return Ok((None, None));
-    };
-    let cfg = DurableLogConfig::new(spec.dir.join(format!("server-{}", config.id.0)))
-        .with_fsync(spec.fsync)
-        .with_segment_bytes(spec.segment_bytes)
-        .with_flush_appends(spec.flush_appends);
-    let (log, recovered) = DurableLog::open(cfg)?;
-    Ok((Some(WalSink::Disk(Arc::new(log))), Some(recovered)))
-}
-
-/// Applies a recovered durable log onto the fresh partition (checkpoint +
-/// WAL suffix; a torn tail is tolerated, interior corruption refuses).
-fn recover(partition: &Partition, recovered: &RecoveredLog) -> Result<()> {
-    if let Some(damage @ aloha_storage::LogDamage::Corrupt { .. }) = &recovered.damage {
-        return Err(Error::Io(format!("wal recovery refused: {damage}")));
-    }
-    let mut checkpoint = aloha_common::Timestamp::ZERO;
-    if let Some((_, blob)) = &recovered.checkpoint {
-        checkpoint = aloha_storage::restore_checkpoint(partition, blob)?;
-    }
-    aloha_storage::replay_records(partition, &recovered.records, checkpoint)?;
-    Ok(())
 }
 
 #[cfg(test)]

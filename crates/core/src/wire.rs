@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use aloha_common::codec::{Reader, Writer};
+use aloha_common::codec::{Reader, Writer, LEN_PREFIX_BYTES};
 use aloha_common::{
     Bytes, EpochId, Error, Key, PartitionId, Result, ServerId, Timestamp, TxnId, Value,
 };
@@ -50,7 +50,8 @@ const TAG_REMOTE_GET_BATCH: u8 = 6;
 const TAG_INSTALL_DEFERRED: u8 = 7;
 const TAG_RESOLVE_VERSION: u8 = 8;
 const TAG_PUSH_VALUE: u8 = 9;
-const TAG_REPLICATE: u8 = 10;
+// Tag 10 is retired and must never be reassigned: a peer built with it
+// sends frames that must decode to an error, not to some other variant.
 const TAG_BATCH: u8 = 11;
 const TAG_SHUTDOWN: u8 = 12;
 const TAG_SNAPSHOT_READ: u8 = 13;
@@ -190,19 +191,6 @@ fn encode_msg(msg: &ServerMsg, pending: &PendingReplies, w: &mut Writer) -> Resu
                 .put_bytes(source.as_bytes());
             encode_versioned_read(read, w);
         }
-        ServerMsg::Replicate {
-            from,
-            records,
-            reply,
-        } => {
-            w.put_u8(TAG_REPLICATE).put_u16(from.0);
-            put_len(w, records.len())?;
-            for (key, version, functor) in records {
-                w.put_bytes(key.as_bytes()).put_u64(version.raw());
-                encode_functor(w, functor);
-            }
-            w.put_u64(register_reply(pending, reply, decode_unit));
-        }
         ServerMsg::ShipBatch {
             from,
             watermark,
@@ -265,7 +253,7 @@ fn decode_msg(r: &mut Reader<'_>, replier: &RemoteReplier) -> Result<ServerMsg> 
         TAG_INSTALL => {
             let version = Timestamp::from_raw(r.get_u64()?);
             let count = r.get_u32()?;
-            let mut writes = Vec::with_capacity(count as usize);
+            let mut writes = Vec::with_capacity(r.capacity_for(count, WRITE_MIN_BYTES));
             for _ in 0..count {
                 writes.push(decode_write(r)?);
             }
@@ -278,7 +266,7 @@ fn decode_msg(r: &mut Reader<'_>, replier: &RemoteReplier) -> Result<ServerMsg> 
         }
         TAG_ABORT_VERSION => {
             let count = r.get_u32()?;
-            let mut keys = Vec::with_capacity(count as usize);
+            let mut keys = Vec::with_capacity(r.capacity_for(count, LEN_PREFIX_BYTES + 8));
             for _ in 0..count {
                 let key = Key::from(r.get_bytes_shared()?);
                 let version = Timestamp::from_raw(r.get_u64()?);
@@ -304,7 +292,7 @@ fn decode_msg(r: &mut Reader<'_>, replier: &RemoteReplier) -> Result<ServerMsg> 
         }
         TAG_REMOTE_GET_BATCH => {
             let count = r.get_u32()?;
-            let mut keys = Vec::with_capacity(count as usize);
+            let mut keys = Vec::with_capacity(r.capacity_for(count, LEN_PREFIX_BYTES));
             for _ in 0..count {
                 keys.push(Key::from(r.get_bytes_shared()?));
             }
@@ -332,7 +320,7 @@ fn decode_msg(r: &mut Reader<'_>, replier: &RemoteReplier) -> Result<ServerMsg> 
         }
         TAG_SNAPSHOT_READ_BATCH => {
             let count = r.get_u32()?;
-            let mut keys = Vec::with_capacity(count as usize);
+            let mut keys = Vec::with_capacity(r.capacity_for(count, LEN_PREFIX_BYTES));
             for _ in 0..count {
                 keys.push(Key::from(r.get_bytes_shared()?));
             }
@@ -380,28 +368,11 @@ fn decode_msg(r: &mut Reader<'_>, replier: &RemoteReplier) -> Result<ServerMsg> 
                 read,
             }
         }
-        TAG_REPLICATE => {
-            let from = PartitionId(r.get_u16()?);
-            let count = r.get_u32()?;
-            let mut records = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let key = Key::from(r.get_bytes_shared()?);
-                let version = Timestamp::from_raw(r.get_u64()?);
-                let functor = decode_functor(r)?;
-                records.push((key, version, functor));
-            }
-            let corr = r.get_u64()?;
-            ServerMsg::Replicate {
-                from,
-                records,
-                reply: remote_slot(replier, corr, encode_unit),
-            }
-        }
         TAG_SHIP_BATCH => {
             let from = PartitionId(r.get_u16()?);
             let watermark = Timestamp::from_raw(r.get_u64()?);
             let count = r.get_u32()?;
-            let mut frames = Vec::with_capacity(count as usize);
+            let mut frames = Vec::with_capacity(r.capacity_for(count, 8 + LEN_PREFIX_BYTES));
             for _ in 0..count {
                 let version = r.get_u64()?;
                 frames.push((version, r.get_bytes()?.to_vec()));
@@ -416,7 +387,7 @@ fn decode_msg(r: &mut Reader<'_>, replier: &RemoteReplier) -> Result<ServerMsg> 
         }
         TAG_BATCH => {
             let count = r.get_u32()?;
-            let mut msgs = Vec::with_capacity(count as usize);
+            let mut msgs = Vec::with_capacity(r.capacity_for(count, LEN_PREFIX_BYTES));
             for _ in 0..count {
                 let bytes = r.get_bytes_shared()?;
                 let mut ir = Reader::shared(&bytes);
@@ -476,6 +447,12 @@ fn remote_slot<T: Send + 'static>(
 // ---------------------------------------------------------------------------
 // Component codecs
 // ---------------------------------------------------------------------------
+
+// Smallest encodings of the elements decoders preallocate for (see
+// `Reader::capacity_for`): a write is its key plus a functor tag and a check
+// tag; a versioned read is a u64 version plus a presence flag.
+const WRITE_MIN_BYTES: usize = LEN_PREFIX_BYTES + 2;
+const READ_MIN_BYTES: usize = 8 + 1;
 
 fn put_len(w: &mut Writer, len: usize) -> Result<()> {
     let len = u32::try_from(len)
@@ -586,7 +563,7 @@ fn encode_read_vec(reads: &Vec<VersionedRead>, w: &mut Writer) {
 
 fn decode_read_vec(r: &mut Reader<'_>) -> Result<Vec<VersionedRead>> {
     let count = r.get_u32()?;
-    let mut reads = Vec::with_capacity(count as usize);
+    let mut reads = Vec::with_capacity(r.capacity_for(count, READ_MIN_BYTES));
     for _ in 0..count {
         reads.push(decode_versioned_read(r)?);
     }
@@ -747,12 +724,19 @@ mod tests {
         (pending, replier)
     }
 
+    /// Encodes and decodes `msg` over a loopback pair. Decoding is total:
+    /// every strict prefix of the encoding must decode to an error.
     fn round_trip(msg: &ServerMsg) -> ServerMsg {
         let (pending, replier) = loopback();
         let mut bytes = Vec::new();
         ServerMsgCodec
             .encode(msg, &pending, &mut bytes)
             .expect("encode");
+        for len in 0..bytes.len() {
+            let prefix = Bytes::copy_from_slice(&bytes[..len]);
+            let decoded = ServerMsgCodec.decode(&prefix, &replier);
+            assert!(decoded.is_err(), "{len}-byte prefix of {msg:?} decoded");
+        }
         ServerMsgCodec
             .decode(&Bytes::from(bytes), &replier)
             .expect("decode")
@@ -1031,7 +1015,7 @@ mod tests {
     }
 
     #[test]
-    fn push_value_and_replicate_round_trip() {
+    fn push_value_round_trip() {
         let msg = ServerMsg::PushValue {
             version: Timestamp::from_raw(8),
             source: Key::from("src"),
@@ -1048,30 +1032,6 @@ mod tests {
         assert_eq!(version, Timestamp::from_raw(8));
         assert_eq!(source, Key::from("src"));
         assert_eq!(read.value, Some(Value::from_i64(2)));
-
-        let (slot, handle) = reply_pair();
-        let msg = ServerMsg::Replicate {
-            from: PartitionId(2),
-            records: vec![(
-                Key::from("k"),
-                Timestamp::from_raw(4),
-                Functor::Value(Value::from_i64(9)),
-            )],
-            reply: slot,
-        };
-        let ServerMsg::Replicate {
-            from,
-            records,
-            reply,
-        } = round_trip(&msg)
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!(from, PartitionId(2));
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].0, Key::from("k"));
-        reply.send(());
-        handle.wait().expect("ack");
     }
 
     #[test]
@@ -1195,6 +1155,40 @@ mod tests {
             .is_err());
         // Empty input.
         assert!(ServerMsgCodec.decode(&Bytes::new(), &replier).is_err());
+    }
+
+    /// A forged element count must not size an allocation: each frame below
+    /// claims `u32::MAX` elements and carries none, so preallocating for the
+    /// count would ask for gigabytes (hundreds of them for `Install`).
+    #[test]
+    fn forged_counts_decode_to_errors_without_preallocating() {
+        let (_pending, replier) = loopback();
+        let max = u32::MAX.to_be_bytes();
+        let mut install = vec![TAG_INSTALL];
+        install.extend_from_slice(&42u64.to_be_bytes());
+        install.extend_from_slice(&max);
+        assert_eq!(install.len(), 13);
+        let mut ship = vec![TAG_SHIP_BATCH, 0, 3];
+        ship.extend_from_slice(&77u64.to_be_bytes());
+        ship.extend_from_slice(&max);
+        let mut frames = vec![install, ship];
+        for tag in [
+            TAG_ABORT_VERSION,
+            TAG_REMOTE_GET_BATCH,
+            TAG_SNAPSHOT_READ_BATCH,
+            TAG_BATCH,
+        ] {
+            let mut frame = vec![tag];
+            frame.extend_from_slice(&max);
+            frames.push(frame);
+        }
+        for frame in frames {
+            assert!(ServerMsgCodec
+                .decode(&Bytes::from(frame), &replier)
+                .is_err());
+        }
+        // Reply payloads go through the same bound.
+        assert!(decode_read_vec(&mut Reader::new(&max)).is_err());
     }
 
     /// The zero-copy contract: keys and values decoded out of a frame are

@@ -1,9 +1,9 @@
 //! End-to-end engine tests on small clusters with short epochs.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use aloha_common::{Key, ServerId, Value};
+use aloha_common::{Error, Key, ServerId, Timestamp, Value};
 use aloha_core::{fn_program, Check, Cluster, ClusterConfig, ProgramId, TxnOutcome, TxnPlan};
 use aloha_functor::{ComputeInput, Functor, HandlerId, HandlerOutput, UserFunctor};
 use aloha_net::NetConfig;
@@ -428,29 +428,62 @@ fn pinned_coordinator_executes_locally() {
     cluster.shutdown();
 }
 
+/// Regression: a historical read below the history compaction folded away
+/// fails with `VersionOutsideEpoch` instead of answering "absent". Both read
+/// paths are checked — the snapshot path behind `Database::read_at` and the
+/// computing path behind `Server::read_at` — and the error's `valid_from`
+/// answers exactly.
 #[test]
-fn gc_reclaims_settled_versions() {
-    let mut builder = Cluster::builder(fast_config(1));
+fn historical_read_below_the_fold_is_an_error_not_absent() {
+    let mut builder = Cluster::builder(
+        ClusterConfig::new(1)
+            .with_epoch_duration(Duration::from_millis(3))
+            .with_compaction(Duration::from_millis(2), 1),
+    );
     builder.register_program(
         ProgramId(1),
-        fn_program(|_ctx| Ok(TxnPlan::new().write(Key::from("gc"), Functor::add(1)))),
+        fn_program(|_ctx| Ok(TxnPlan::new().write(Key::from("x"), Functor::add(1)))),
     );
     let cluster = builder.start().unwrap();
-    cluster.load(Key::from("gc"), Value::from_i64(0));
+    let x = Key::from("x");
+    cluster.load(x.clone(), Value::from_i64(0));
     let db = cluster.database();
-    let mut last = None;
-    for _ in 0..10 {
-        let h = db.execute(ProgramId(1), b"").unwrap();
-        h.wait_processed().unwrap();
-        last = Some(h.timestamp());
+    let increments: Vec<Timestamp> = (0..21)
+        .map(|_| {
+            let h = db.execute(ProgramId(1), b"").unwrap();
+            assert_eq!(h.wait_processed().unwrap(), TxnOutcome::Committed);
+            h.timestamp()
+        })
+        .collect();
+    assert_eq!(db.read_one(&x).unwrap().and_then(|v| v.as_i64()), Some(21));
+
+    // With one version kept, the sweeper folds everything below the last
+    // increment once the compute frontier passes it; then nothing moves.
+    let server = cluster.server(ServerId(0));
+    let chain = server.partition().store().chain(&x).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while chain.compacted_floor() < increments[19] {
+        assert!(Instant::now() < deadline, "the sweeper never folded");
+        std::thread::sleep(Duration::from_millis(5));
     }
-    let dropped = cluster.gc(last.unwrap());
-    assert!(
-        dropped >= 9,
-        "expected most settled versions dropped, got {dropped}"
-    );
-    let values = db.read_latest(&[Key::from("gc")]).unwrap();
-    assert_eq!(values[0].as_ref().unwrap().as_i64(), Some(10));
+
+    let first = increments[0];
+    let reads = [
+        db.read_at(std::slice::from_ref(&x), first),
+        server.read_at(std::slice::from_ref(&x), first),
+    ];
+    for read in reads {
+        match read {
+            Err(Error::VersionOutsideEpoch { valid_from, .. }) => {
+                assert_eq!(valid_from, increments[20]);
+            }
+            other => panic!("a read below the fold must fail, got {other:?}"),
+        }
+    }
+    let retry = db
+        .read_at(std::slice::from_ref(&x), increments[20])
+        .unwrap();
+    assert_eq!(retry[0].as_ref().and_then(Value::as_i64), Some(21));
     cluster.shutdown();
 }
 

@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use aloha_common::{Error, Key, PartitionId, ServerId, Timestamp, Value};
 use aloha_core::{
-    fn_program, Cluster, ClusterConfig, PartialReplicationSpec, ProgramId, ServerMsg,
-    ServerMsgCodec, TxnPlan,
+    fn_program, Check, Cluster, ClusterConfig, PartialReplicationSpec, ProgramId, ServerMsg,
+    ServerMsgCodec, TxnOutcome, TxnPlan,
 };
 use aloha_functor::{
     ComputeInput, Functor, HandlerId, HandlerOutput, HandlerRegistry, UserFunctor,
@@ -21,7 +21,7 @@ use aloha_net::{reply_pair, Addr, TcpTransport, Transport};
 use aloha_replica::Standby;
 use aloha_storage::partition::LocalOnlyEnv;
 use aloha_storage::wal::WalRecord;
-use aloha_storage::Partition;
+use aloha_storage::{ChainRead, Partition};
 
 const INCR: ProgramId = ProgramId(1);
 const COPY: ProgramId = ProgramId(2);
@@ -178,6 +178,73 @@ fn promotion_preserves_state_and_serves_without_restart() {
             cluster.replicated_partitions() == vec![victim]
         }),
         "pinned partition must regain a standby after promotion"
+    );
+    cluster.shutdown();
+}
+
+/// A rolled-back install survives failover. The transaction's install on
+/// the victim partition succeeds and its install on the other partition
+/// fails a `KeyExists` check, so the abort round writes ABORTED over the
+/// victim's version. The promoted standby must serve the pre-transaction
+/// value, not the rolled-back increment.
+#[test]
+fn rolled_back_install_survives_failover() {
+    const DOOMED: ProgramId = ProgramId(3);
+    let total = 2u16;
+    let victim = ServerId(0);
+    let (key, guarded) = (key_on(victim.0, total), key_on(1, total));
+    let mut builder = builder_with_programs(
+        ClusterConfig::new(total)
+            .with_epoch_duration(Duration::from_millis(2))
+            .with_partial_replication(total as usize),
+    );
+    let (k, g) = (key.clone(), guarded.clone());
+    builder.register_program(
+        DOOMED,
+        fn_program(move |_ctx| {
+            Ok(TxnPlan::new()
+                .write(k.clone(), Functor::add(1))
+                .write_checked(
+                    g.clone(),
+                    Functor::add(1),
+                    Check::KeyExists(Key::from("guard-that-never-exists")),
+                ))
+        }),
+    );
+    let cluster = builder.start().unwrap();
+    // Budget = n replicates every partition from the start.
+    assert_eq!(
+        cluster.replicated_partitions(),
+        vec![ServerId(0), ServerId(1)]
+    );
+    let db = cluster.database();
+    increment_n(&db, &key, 3);
+    increment_n(&db, &guarded, 3);
+
+    let doomed = db.execute(DOOMED, b"").unwrap();
+    assert_eq!(doomed.wait_processed().unwrap(), TxnOutcome::Aborted);
+    let chain = cluster.server(victim).partition().store().chain(&key);
+    let rolled_back = match chain.and_then(|c| c.read_at(doomed.timestamp())) {
+        Some(ChainRead::Final(_, form)) => form.is_aborted(),
+        Some(ChainRead::Live(record)) => record.final_form().is_some_and(|f| f.is_aborted()),
+        None => false,
+    };
+    assert!(
+        rolled_back,
+        "the victim's install must have landed and been rolled back"
+    );
+
+    cluster.kill_server(victim).unwrap();
+    assert_eq!(cluster.availability().failovers(), 1);
+    let values = db.read_latest(&[key, guarded]).unwrap();
+    let values: Vec<Option<i64>> = values
+        .iter()
+        .map(|v| v.as_ref().and_then(Value::as_i64))
+        .collect();
+    assert_eq!(
+        values,
+        vec![Some(3), Some(3)],
+        "the rollback was lost in failover"
     );
     cluster.shutdown();
 }

@@ -481,7 +481,9 @@ impl Partition {
     /// # Errors
     ///
     /// Propagates [`ComputeEnv`] transport failures and unknown-handler
-    /// errors.
+    /// errors. [`Error::VersionOutsideEpoch`] when compaction folded the
+    /// history `bound` needs; `valid_from` is the oldest bound the chain
+    /// answers exactly.
     pub fn get(&self, key: &Key, bound: Timestamp, env: &dyn ComputeEnv) -> Result<VersionedRead> {
         // Dependent-key rule: the determinate key's watermark must cover the
         // requested version before this key may be read (§IV-E).
@@ -501,7 +503,18 @@ impl Partition {
         let mut cursor = bound;
         loop {
             let Some(read) = chain.floor(cursor) else {
-                return Ok(VersionedRead::missing());
+                // Nothing at or below the cursor. On a folded chain the
+                // floor may have been folded away: answering "absent" would
+                // silently time-travel, so report where the chain answers
+                // exactly again (as the snapshot path's `Folded` does).
+                return match chain.folded_retry_floor() {
+                    Some(valid_from) => Err(Error::VersionOutsideEpoch {
+                        version: bound,
+                        valid_from,
+                        valid_until: Timestamp::MAX,
+                    }),
+                    None => Ok(VersionedRead::missing()),
+                };
             };
             let (version, form) = match read {
                 // Compacted fast path: the record is already a packed final

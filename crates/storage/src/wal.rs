@@ -11,7 +11,7 @@
 //! The log targets any `std::io::Write`; tests use an in-memory buffer, a
 //! production deployment would use an fsync'd file.
 
-use aloha_common::codec::{Reader, Writer};
+use aloha_common::codec::{Reader, Writer, LEN_PREFIX_BYTES};
 use aloha_common::{Error, Key, Result, Timestamp};
 use aloha_functor::{Functor, HandlerId, UserFunctor};
 
@@ -112,13 +112,13 @@ pub fn decode_functor(r: &mut Reader<'_>) -> Result<Functor> {
         F_USER => {
             let handler = HandlerId(r.get_u32()?);
             let nr = r.get_u32()?;
-            let mut read_set = Vec::with_capacity(nr as usize);
+            let mut read_set = Vec::with_capacity(r.capacity_for(nr, LEN_PREFIX_BYTES));
             for _ in 0..nr {
                 read_set.push(Key::from(r.get_bytes_shared()?));
             }
             let args = r.get_bytes_shared()?;
             let np = r.get_u32()?;
-            let mut recipients = Vec::with_capacity(np as usize);
+            let mut recipients = Vec::with_capacity(r.capacity_for(np, LEN_PREFIX_BYTES));
             for _ in 0..np {
                 recipients.push(Key::from(r.get_bytes_shared()?));
             }
